@@ -194,6 +194,8 @@ def cmd_fit(args) -> int:
     xs, y = _read_xy(args.input, args.x_col, args.y_col)
     grid = None
     if args.grid_step is not None:
+        if not 0 < args.grid_step < np.inf:
+            raise ValueError(f"--grid-step must be a positive number, got {args.grid_step}")
         a, b = float(np.min(xs)), float(np.max(xs))
         grid = tuple(np.arange(a + args.grid_step, b, args.grid_step))
     delta = args.delta if args.delta is not None else (float(np.max(xs) - np.min(xs))) / 20.0

@@ -96,6 +96,8 @@ def cv_lambda(xs, y, spec, grid, folds: int, seed: int = 0, **search_kwargs) -> 
         return grid[0]
 
     n = xs.size
+    if folds > n:
+        raise ValueError(f"cv folds ({folds}) exceed the number of observations ({n})")
     perm = np.random.default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=int)
     assignment[perm] = np.arange(n) % folds

@@ -9,9 +9,9 @@ goes through the normal equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 RANK_RTOL = 1e-10
 
@@ -106,7 +106,7 @@ def pointwise_interval(
         raise ValueError("level must be in (0, 1)")
     if fit.dof < 1:
         raise UndefinedVarianceError("dof = 0: noise variance undefined")
-    z = norm.ppf(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     h = fit.leverage(design_at_eval)
     if prediction:
         h = h + 1.0

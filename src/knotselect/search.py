@@ -7,18 +7,19 @@ descent over knot positions on the candidate grid). Candidate knots are
 restricted to a grid and must respect the minimum-spacing constraint
 delta, including against the domain boundaries.
 
-The residual sums of squares driving the enumeration are computed
-incrementally: knot columns are orthogonalized once against the
-polynomial part on a rescaled domain, after which the RSS of any small
-knot subset reduces to a tiny Gram solve. Reported models are always
-refit through :mod:`knotselect.lsq`, so returned RSS/PSS values are
-canonical regardless of the search path.
+One engine drives the enumeration for all three basis families: on x
+rescaled to [0, 1], one knot column per grid point is projected off the
+polynomial part once, after which a rank-one least-squares update gives
+the RSS of adding each grid point to a knot set, for the whole grid in
+one numpy pass. The k = 1 and k = 2 scans, the k >= 3 insertion and every
+coordinate-descent move are each a few such passes. Reported models are
+always refit through :mod:`knotselect.lsq`, so returned RSS/PSS values
+are canonical regardless of the search path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import combinations
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .basis import (
     BasisSpec,
     Domain,
     KnotConfig,
-    UnsupportedConfigError,
     design_matrix,
 )
 from .criterion import LambdaPolicy, Penalty, cv_lambda, default_lambda, pss
@@ -99,85 +99,107 @@ class SplineModel:
 
 
 # ---------------------------------------------------------------------------
-# RSS evaluators
+# RSS engine
 
 
-class _ProjectedEngine:
-    """Incremental RSS over knot subsets for the polynomial-piece bases.
+def _fitted_basis(spec: BasisSpec, k: int) -> BasisSpec:
+    """The basis a k-knot model is fitted in.
 
-    Works in the truncated-power parameterization on x rescaled to
-    [0, 1]; truncated-power and B-spline designs with the same degree
-    and knots span the same space, so their RSS agree and either family
-    can be searched this way.
+    Natural cubic needs at least two interior knots; below that the cubic
+    truncated-power basis stands in.
+    """
+    if spec.family is BasisFamily.NATURAL_CUBIC and k < 2:
+        return BasisSpec(BasisFamily.TRUNCATED_POWER, degree=3)
+    return spec
+
+
+class _RssEngine:
+    """RSS of every one-knot extension of a knot set, in one numpy pass.
+
+    Works on one spline space on x rescaled to z in [0, 1]: polynomial
+    columns P plus one knot column per grid point t,
+
+    * truncated power and B-spline (same span): ``z^0..z^p`` and
+      ``(z - t)_+^p``, taken as ``(t - z)^p 1[z < t]`` for t < 1/2 (the
+      two differ by a polynomial; the shorter support projects off P
+      without cancellation);
+    * natural cubic: ``1, z`` and ``(z - t)_+^3 - (1 - t) z^3``, the cubic
+      truncated-power span with f''(0) = f''(1) = 0 imposed.
+
+    Knot columns are projected off P once, giving V. For a knot set S
+    with residual r_S, adding grid point g gives the rank-one update
+    ``RSS(S + g) = RSS(S) - (v_g' r_S)^2 / (v_g' (I - P_S) v_g)``. A
+    column whose squared norm after projection off P and S is at most
+    ``RANK_RTOL**2`` times its raw squared norm (the relative size below
+    which :func:`lsq.solve` drops a singular direction) lies in that
+    span numerically and lowers the RSS by nothing.
     """
 
-    def __init__(self, xs, y, degree, grid, domain):
+    def __init__(self, xs, y, grid, domain: Domain, spec: BasisSpec):
         z = (xs - domain.a) / domain.width
-        zg = (np.asarray(grid, dtype=float) - domain.a) / domain.width
-        P = np.column_stack([z**j for j in range(degree + 1)])
+        t = (grid - domain.a) / domain.width
+        C = z[:, None] - t  # built in place: the engine holds O(nG) memory
+        if spec.family is BasisFamily.NATURAL_CUBIC:
+            P = np.column_stack([np.ones_like(z), z])
+            np.maximum(C, 0.0, out=C)
+            C **= 3
+            C -= np.outer(z**3, 1.0 - t)
+        else:
+            P = np.column_stack([z**j for j in range(spec.degree + 1)])
+            keep = (C >= 0) != (t < 0.5)
+            np.abs(C, out=C)
+            C **= spec.degree
+            C *= keep
         Q0, _ = np.linalg.qr(P)
-        C = np.where(z[:, None] >= zg[None, :], (z[:, None] - zg[None, :]) ** degree, 0.0)
-        V = C - Q0 @ (Q0.T @ C)
-        r0 = y - Q0 @ (Q0.T @ y)
-        self.rss0 = float(r0 @ r0)
-        self.vr = V.T @ r0
-        self.gram = V.T @ V
-        self.norm2 = np.diag(self.gram).copy()
-        # columns (numerically) inside the polynomial span contribute nothing
-        col_scale = np.sum(C * C, axis=0)
-        self.live = self.norm2 > 1e-24 * np.maximum(col_scale, 1.0)
+        self.floor = lsq.RANK_RTOL**2 * np.einsum("ij,ij->j", C, C)
+        C -= Q0 @ (Q0.T @ C)
+        self.V = C
+        self.r0 = y - Q0 @ (Q0.T @ y)
+        self.rss0 = float(self.r0 @ self.r0)
+        self.vr = self.V.T @ self.r0
+        self.norm2 = np.einsum("ij,ij->j", self.V, self.V)
 
-    def rss(self, idx: tuple[int, ...]) -> float:
-        idx = [i for i in idx if self.live[i]]
-        if not idx:
-            return self.rss0
-        G = self.gram[np.ix_(idx, idx)]
-        g = self.vr[list(idx)]
-        try:
-            c = np.linalg.solve(G, g)
-            if not np.all(np.isfinite(c)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            c = np.linalg.lstsq(G, g, rcond=1e-12)[0]
-        return max(self.rss0 - float(g @ c), 0.0)
+    def _orthonormal(self, idx) -> np.ndarray:
+        """Orthonormal basis of the projected columns in idx (Gram-Schmidt)."""
+        U = np.empty((self.V.shape[0], 0))
+        for i in idx:
+            w = self.V[:, i]
+            for _ in range(2):  # twice is enough for orthogonality
+                w = w - U @ (U.T @ w)
+            w2 = float(w @ w)
+            if w2 > self.floor[i]:
+                U = np.column_stack([U, w / np.sqrt(w2)])
+        return U
 
-    def rss_singles(self) -> np.ndarray:
-        red = np.zeros_like(self.norm2)
-        np.divide(self.vr**2, self.norm2, out=red, where=self.live)
-        return np.maximum(self.rss0 - red, 0.0)
-
-    def rss0_scale(self) -> float:
-        return self.rss0
-
-
-class _DirectEngine:
-    """RSS by a full solve per candidate set (natural cubic searches)."""
-
-    def __init__(self, xs, y, spec, grid, domain):
-        self.xs = xs
-        self.y = y
-        self.spec = spec
-        self.grid = np.asarray(grid, dtype=float)
-        self.domain = domain
-
-    def rss(self, idx: tuple[int, ...]) -> float:
-        knots = tuple(self.grid[list(idx)])
-        X = _design_with_fallback(self.xs, self.spec, KnotConfig(knots, self.domain))
-        return lsq.solve(X, self.y).rss
-
-    def rss_singles(self) -> np.ndarray:
-        return np.array([self.rss((i,)) for i in range(self.grid.size)])
-
-    def rss0_scale(self) -> float:
-        return float(self.y @ self.y)
+    def extend(self, idx) -> np.ndarray:
+        """RSS(idx + g) for every grid index g (meaningless for g in idx)."""
+        U = self._orthonormal(idx)
+        ur = U.T @ self.r0
+        B = U.T @ self.V
+        num = self.vr - B.T @ ur
+        den = self.norm2 - np.einsum("ij,ij->j", B, B)
+        # where most of v_g lies in span(S) the subtraction loses digits:
+        # project those columns explicitly
+        redo = np.flatnonzero(den < 1e-3 * self.norm2)
+        W = self.V[:, redo] - U @ B[:, redo]
+        num[redo] = W.T @ self.r0
+        den[redo] = np.einsum("ij,ij->j", W, W)
+        drop = np.zeros_like(den)
+        np.divide(num * num, den, out=drop, where=den > self.floor)
+        return np.maximum(self.rss0 - float(ur @ ur) - drop, 0.0)
 
 
-def _design_with_fallback(xs, spec: BasisSpec, kc: KnotConfig) -> np.ndarray:
-    """Design matrix, substituting truncated power where natural cubic
-    cannot be built (fewer than 2 interior knots)."""
-    if spec.family is BasisFamily.NATURAL_CUBIC and kc.k < 2:
-        spec = BasisSpec(BasisFamily.TRUNCATED_POWER, degree=3)
-    return design_matrix(xs, spec, kc)
+def _engines(xs, y, cfg: SearchConfig, grid, domain):
+    """Engine for the space a k-knot model is fitted in, built on first use."""
+    built = {}
+
+    def engine_for(k: int) -> _RssEngine:
+        spec = _fitted_basis(cfg.basis, k)
+        if spec not in built:
+            built[spec] = _RssEngine(xs, y, grid, domain, spec)
+        return built[spec]
+
+    return engine_for
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +214,27 @@ def _feasible_mask(grid: np.ndarray, domain: Domain, delta: float, left_bar: flo
     )
 
 
-def _set_feasible(grid: np.ndarray, idx, delta: float) -> bool:
-    vals = grid[list(idx)]
-    return bool(np.all(np.diff(vals) > delta))
+def _refitter(xs, y, cfg: SearchConfig, grid, domain, lam):
+    """Canonical refit of a grid-index tuple: the path every reported model takes."""
 
-
-def _canonical_rss(xs, y, cfg: SearchConfig, grid, domain):
-    """RSS of a grid-index tuple through the same path used for refits."""
-
-    def rss(idx) -> float:
+    def refit(idx) -> SplineModel:
         kc = KnotConfig(tuple(grid[list(idx)]), domain)
-        return lsq.solve(_design_with_fallback(xs, cfg.basis, kc), y).rss
+        basis = _fitted_basis(cfg.basis, kc.k)
+        fit = lsq.solve(design_matrix(xs, basis, kc), y)
+        return SplineModel(
+            basis=basis,
+            knots=kc,
+            coefficients=fit.coefficients,
+            rss=fit.rss,
+            pss=pss(fit.rss, kc.k, lam),
+            lambda_used=lam,
+            fit=fit,
+        )
 
-    return rss
+    return refit
 
 
-def _resolve_near_ties(finalists, canon_rss, k, lam):
+def _resolve_near_ties(finalists, refit):
     """Pick among near-minimal placements by canonical criterion value.
 
     The incremental engine's RSS values can differ from the canonical
@@ -218,11 +245,10 @@ def _resolve_near_ties(finalists, canon_rss, k, lam):
     """
     if len(finalists) == 1:
         return finalists[0]
-    keyed = [(pss(canon_rss(idx), k, lam), idx) for idx in sorted(finalists)]
-    return min(keyed)[1]
+    return min((refit(idx).pss, idx) for idx in finalists)[1]
 
 
-def _best_placement(engine, grid, delta, singles_ok, k, prev_best, canon_rss, lam):
+def _best_placement(engine_for, grid, delta, singles_ok, k, prev_best, refit):
     """Best grid indices for exactly k knots; exact for k <= 2.
 
     ``prev_best`` is the optimal (k-1)-set used to seed the exchange
@@ -234,62 +260,54 @@ def _best_placement(engine, grid, delta, singles_ok, k, prev_best, canon_rss, la
         return ()
     if ok.size < k:
         raise InfeasibleError(f"cannot place {k} knots on the feasible grid")
+    engine = engine_for(k)
+    tol = 1e-8 * engine.rss0
 
     if k == 1:
-        rss1 = engine.rss_singles()
-        scale = max(float(rss1[ok].min()), float(engine.rss0_scale()))
-        tol = 1e-8 * scale
+        rss1 = engine.extend(())
         lo = float(rss1[ok].min())
         finalists = [(int(i),) for i in ok if rss1[i] <= lo + tol]
-        return _resolve_near_ties(finalists, canon_rss, k, lam)
+        return _resolve_near_ties(finalists, refit)
 
     if k == 2:
-        pairs, vals = [], []
-        for i, j in combinations(ok, 2):
-            if grid[j] - grid[i] <= delta:
+        lo, near = np.inf, []
+        for i in ok:
+            js = ok[grid[ok] - grid[i] > delta]
+            if not js.size:
                 continue
-            pairs.append((int(i), int(j)))
-            vals.append(engine.rss((int(i), int(j))))
-        if not pairs:
+            vals = engine.extend((i,))[js]
+            lo = min(lo, float(vals.min()))
+            keep = vals <= lo + tol
+            near += [((int(i), int(j)), v) for j, v in zip(js[keep], vals[keep])]
+        if not near:
             raise InfeasibleError("no delta-feasible pair of knots")
-        lo = min(vals)
-        tol = 1e-8 * max(lo, float(engine.rss0_scale()))
-        finalists = [p for p, v in zip(pairs, vals) if v <= lo + tol]
-        return _resolve_near_ties(finalists, canon_rss, k, lam)
+        finalists = [p for p, v in near if v <= lo + tol]
+        return _resolve_near_ties(finalists, refit)
+
+    def candidates(others):
+        """RSS of others + g, inf where g is not a delta-feasible addition."""
+        ok_g = singles_ok.copy()
+        for s in others:
+            ok_g &= np.abs(grid - grid[s]) > delta
+        return np.where(ok_g, engine.extend(others), np.inf)
 
     # k >= 3: insert the RSS-minimizing grid point into the previous optimum
-    cur, cur_rss = None, np.inf
-    prev = list(prev_best)
-    for g in ok:
-        if g in prev:
-            continue
-        cand = tuple(sorted(prev + [int(g)]))
-        if not _set_feasible(grid, cand, delta):
-            continue
-        r = engine.rss(cand)
-        if r < cur_rss:
-            cur, cur_rss = list(cand), r
-    if cur is None:
+    vals = candidates(prev_best)
+    g = int(np.argmin(vals))
+    if not np.isfinite(vals[g]):
         raise InfeasibleError(f"no delta-feasible insertion for k={k}")
+    cur, cur_rss = sorted(list(prev_best) + [g]), float(vals[g])
 
     # coordinate descent: move each knot to its RSS-minimizing position
     for _ in range(_MAX_CYCLES):
         improved = False
         for j in range(k):
             others = cur[:j] + cur[j + 1 :]
-            move, move_rss = cur[j], cur_rss
-            for g in ok:
-                if g in others or g == cur[j]:
-                    continue
-                cand = tuple(sorted(others + [int(g)]))
-                if not _set_feasible(grid, cand, delta):
-                    continue
-                r = engine.rss(cand)
-                if r < move_rss:
-                    move, move_rss = int(g), r
-            if move != cur[j] and move_rss < cur_rss * (1.0 - _REL_IMPROVE):
-                cur = sorted(others + [move])
-                cur_rss = move_rss
+            vals = candidates(others)
+            vals[cur[j]] = np.inf
+            g = int(np.argmin(vals))
+            if vals[g] < cur_rss * (1.0 - _REL_IMPROVE):
+                cur, cur_rss = sorted(others + [g]), float(vals[g])
                 improved = True
         if not improved:
             break
@@ -328,12 +346,6 @@ def _prepare(xs, y, cfg: SearchConfig):
     return xs, y, domain, grid, left_bar
 
 
-def _make_engine(xs, y, cfg: SearchConfig, grid, domain):
-    if cfg.basis.family is BasisFamily.NATURAL_CUBIC:
-        return _DirectEngine(xs, y, cfg.basis, grid, domain)
-    return _ProjectedEngine(xs, y, cfg.basis.degree, grid, domain)
-
-
 def _resolve_lambda(xs, y, cfg: SearchConfig) -> float:
     pen = cfg.penalty
     if pen.policy is LambdaPolicy.FIXED:
@@ -357,24 +369,6 @@ def _resolve_lambda(xs, y, cfg: SearchConfig) -> float:
     )
 
 
-def _refit(xs, y, cfg: SearchConfig, domain, knots, lam) -> SplineModel:
-    kc = KnotConfig(knots, domain)
-    X = _design_with_fallback(xs, cfg.basis, kc)
-    fit = lsq.solve(X, y)
-    basis = cfg.basis
-    if basis.family is BasisFamily.NATURAL_CUBIC and kc.k < 2:
-        basis = BasisSpec(BasisFamily.TRUNCATED_POWER, degree=3)
-    return SplineModel(
-        basis=basis,
-        knots=kc,
-        coefficients=fit.coefficients,
-        rss=fit.rss,
-        pss=pss(fit.rss, kc.k, lam),
-        lambda_used=lam,
-        fit=fit,
-    )
-
-
 def best_for_k(xs, y, k: int, cfg: SearchConfig, lam: float | None = None) -> SplineModel:
     """Best delta-feasible placement of exactly k knots.
 
@@ -386,13 +380,13 @@ def best_for_k(xs, y, k: int, cfg: SearchConfig, lam: float | None = None) -> Sp
     xs, y, domain, grid, left_bar = _prepare(xs, y, cfg)
     if lam is None:
         lam = _resolve_lambda(xs, y, cfg)
-    engine = _make_engine(xs, y, cfg, grid, domain)
+    engine_for = _engines(xs, y, cfg, grid, domain)
     singles_ok = _feasible_mask(grid, domain, cfg.delta, left_bar)
-    canon = _canonical_rss(xs, y, cfg, grid, domain)
+    refit = _refitter(xs, y, cfg, grid, domain, lam)
     prev = ()
     for kk in range(1, k + 1):
-        prev = _best_placement(engine, grid, cfg.delta, singles_ok, kk, prev, canon, lam)
-    return _refit(xs, y, cfg, domain, tuple(grid[list(prev)]), lam)
+        prev = _best_placement(engine_for, grid, cfg.delta, singles_ok, kk, prev, refit)
+    return refit(prev)
 
 
 def select(xs, y, cfg: SearchConfig) -> SplineModel:
@@ -405,9 +399,9 @@ def select(xs, y, cfg: SearchConfig) -> SplineModel:
     """
     xs, y, domain, grid, left_bar = _prepare(xs, y, cfg)
     lam = _resolve_lambda(xs, y, cfg)
-    engine = _make_engine(xs, y, cfg, grid, domain)
+    engine_for = _engines(xs, y, cfg, grid, domain)
     singles_ok = _feasible_mask(grid, domain, cfg.delta, left_bar)
-    canon = _canonical_rss(xs, y, cfg, grid, domain)
+    refit = _refitter(xs, y, cfg, grid, domain, lam)
 
     best_model = None
     stale = 0
@@ -416,12 +410,12 @@ def select(xs, y, cfg: SearchConfig) -> SplineModel:
     while k <= cfg.k_max:
         try:
             placement = _best_placement(
-                engine, grid, cfg.delta, singles_ok, k, prev_placement, canon, lam
+                engine_for, grid, cfg.delta, singles_ok, k, prev_placement, refit
             )
         except InfeasibleError:
             break  # larger k cannot be feasible either
         prev_placement = placement
-        model = _refit(xs, y, cfg, domain, tuple(grid[list(placement)]), lam)
+        model = refit(placement)
         if best_model is None or model.pss < best_model.pss:
             best_model = model
             stale = 0

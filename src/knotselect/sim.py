@@ -17,6 +17,7 @@ import numpy as np
 
 from .basis import BasisFamily, BasisSpec, Domain, KnotConfig, design_matrix
 from .criterion import Penalty
+from .lsq import DataError
 from .search import SearchConfig, select
 
 _DOMAIN = Domain(0.0, 100.0)
@@ -182,8 +183,10 @@ class SimReport:
 def run(scenario: SimScenario, threads: int = 1) -> SimReport:
     """Execute every replication and aggregate the scenario statistics.
 
-    Replication failures are recorded, not fatal. Aggregation is by
-    replication index, so the result does not depend on ``threads``.
+    A replication whose data cannot be fitted (``DataError`` or
+    ``LinAlgError``) is counted as a failure, not fatal; any other
+    exception propagates. Aggregation is by replication index, so the
+    result does not depend on ``threads``.
     """
     cfg = _search_config(scenario)
     true_k = len(scenario.truth_knots)
@@ -194,7 +197,7 @@ def run(scenario: SimScenario, threads: int = 1) -> SimReport:
             xs, y = generate(scenario, rep)
             model = select(xs, y, cfg)
             return model.k, list(model.knots.knots), time.perf_counter() - t0
-        except Exception:
+        except (DataError, np.linalg.LinAlgError):
             return None, None, time.perf_counter() - t0
 
     reps = range(scenario.replications)

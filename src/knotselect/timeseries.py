@@ -309,7 +309,7 @@ def ingest_csv(
 
                 day = datetime.strptime(row[date_col].strip(), date_format).date()
                 count = float(row[count_col])
-                if math.isnan(count) or count < 0:
+                if not math.isfinite(count) or count < 0:
                     raise ValueError(f"invalid count {row[count_col]!r}")
             except (ValueError, AttributeError, TypeError) as exc:
                 row_errors.append(f"line {lineno}: {exc}")

@@ -73,6 +73,21 @@ class TestFit:
             run_cli(capsys, "fit", xy_csv, "--bogus")
         assert exc.value.code == 3
 
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_nonpositive_grid_step_exit_3(self, capsys, xy_csv, step):
+        code, out, err = run_cli(capsys, "fit", xy_csv, "--grid-step", step)
+        assert code == 3 and out == ""
+        assert err.startswith("error: --grid-step") and err.count("\n") == 1
+
+    def test_more_cv_folds_than_rows_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "eight.csv"
+        path.write_text("x,y\n" + "".join(f"{i},{i * i % 5}\n" for i in range(8)))
+        code, out, err = run_cli(
+            capsys, "fit", str(path), "--lambda-policy", "cv", "--cv-folds", "9"
+        )
+        assert code == 3 and out == ""
+        assert "9" in err and "8" in err and err.count("\n") == 1
+
     def test_output_file(self, capsys, xy_csv, tmp_path):
         dest = tmp_path / "out.json"
         code, out, _ = run_cli(capsys, "fit", xy_csv, "--output", str(dest))

@@ -123,6 +123,8 @@ class TestCvLambda:
             cv_lambda(xs, y, BasisSpec(TP, 1), [], folds=4)
         with pytest.raises(ValueError):
             cv_lambda(xs, y, BasisSpec(TP, 1), [1.0, 2.0], folds=1)
+        with pytest.raises(ValueError, match=r"\(9\).*\(8\)"):
+            cv_lambda(xs[:8], y[:8], BasisSpec(TP, 1), [1.0, 2.0], folds=9)
 
 
 class TestShiftInvariance:

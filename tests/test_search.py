@@ -4,14 +4,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from knotselect import lsq
+from knotselect import lsq, search
 from knotselect.basis import BasisFamily, BasisSpec, Domain, KnotConfig, design_matrix
 from knotselect.criterion import LambdaPolicy, Penalty, pss
 from knotselect.search import InfeasibleError, SearchConfig, best_for_k, select
 
 TP = BasisFamily.TRUNCATED_POWER
 BS = BasisFamily.BSPLINE
+NC = BasisFamily.NATURAL_CUBIC
 
 
 def brute_force(xs, y, cfg, lam, k_cap=2):
@@ -208,3 +211,124 @@ class TestSelect:
         model = select(xs, y, cfg)
         assert model.k < 2
         assert model.basis.family is TP
+
+
+@st.composite
+def oracle_instances(draw):
+    """Small problems over every family: duplicated x, shifted and scaled
+    x and y, explicit or default grids, and delta down to a sliver of
+    the domain so the grid points next to the boundary are candidates.
+
+    x stays within one domain width of zero: further out, the raw-x cubic
+    design that the refit solves drops real directions at singular values
+    below 1e-14, and the refit stops being an oracle."""
+    family = draw(st.sampled_from([TP, BS, NC]))
+    degree = 3 if family is NC else draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.sort(rng.uniform(0.0, 1.0, draw(st.integers(9, 24))))
+    if draw(st.booleans()):
+        u = np.sort(np.concatenate([u, rng.choice(u, draw(st.integers(1, 8)))]))
+    x_scale = draw(st.sampled_from([1.0, 30.0]))
+    xs = x_scale * (draw(st.sampled_from([-1.0, 0.0, 1.0])) + u)
+    y = draw(st.sampled_from([1e-3, 1.0, 1e4])) * (
+        np.sin(draw(st.floats(1.0, 12.0)) * u) + rng.normal(0.0, 0.3, u.size)
+    ) + draw(st.sampled_from([0.0, 50.0]))
+    grid = None
+    if draw(st.booleans()):
+        grid = tuple(np.linspace(xs[0], xs[-1], draw(st.integers(4, 30)))[1:-1])
+    delta = x_scale * draw(st.sampled_from([1e-9, 1e-3, 0.05, 0.15]))
+    cfg = SearchConfig(
+        basis=BasisSpec(family, degree),
+        delta=delta,
+        k_max=4,
+        candidate_grid=grid,
+        penalty=Penalty(policy=LambdaPolicy.FIXED, lam=1.0),
+    )
+    return xs, y, cfg, rng
+
+
+def refit_rss(xs, y, spec, kc):
+    """RSS of the canonical refit, or None where it is no oracle.
+
+    Natural cubic below two knots is read as cubic truncated power. A
+    design with a singular value between 1e-14 and 1e-8 of the largest
+    pins its RSS to no better than about 1e-8 in any solver, and
+    lsq.RANK_RTOL may cut a real direction from it, so it is no oracle.
+    Exactly rank-deficient designs (below 1e-14) stay.
+    """
+    if spec.family is NC and kc.k < 2:
+        spec = BasisSpec(TP, 3)
+    X = design_matrix(xs, spec, kc)
+    s = np.linalg.svd(X, compute_uv=False)
+    if np.any((s > 1e-14 * s[0]) & (s < 1e-8 * s[0])):
+        return None
+    return lsq.solve(X, y).rss
+
+
+class TestOracleProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(oracle_instances())
+    def test_best_for_k_matches_exhaustive_and_engine_matches_refit(self, inst):
+        xs, y, cfg, rng = inst
+        xs_s, y_s, domain, grid, left_bar = search._prepare(xs, y, cfg)
+        ok = np.flatnonzero(search._feasible_mask(grid, domain, cfg.delta, left_bar))
+
+        def refit(idx):
+            return refit_rss(xs_s, y_s, cfg.basis, KnotConfig(tuple(grid[list(idx)]), domain))
+
+        for k in (1, 2):
+            combos = [
+                c for c in combinations(ok, k)
+                if all(grid[c[i + 1]] - grid[c[i]] > cfg.delta for i in range(k - 1))
+            ]
+            if not combos:
+                with pytest.raises(InfeasibleError):
+                    best_for_k(xs, y, k, cfg, lam=1.0)
+                continue
+            rss = [refit(c) for c in combos]
+            assume(None not in rss)
+            best = min((pss(r, k, 1.0), c) for r, c in zip(rss, combos))
+            model = best_for_k(xs, y, k, cfg, lam=1.0)
+            assert model.pss == best[0]
+            assert model.knots.knots == tuple(grid[list(best[1])])
+
+        # the engine's RSS for random feasible subsets agrees with a refit
+        engine_for = search._engines(xs_s, y_s, cfg, grid, domain)
+        for _ in range(6):
+            k = int(rng.integers(1, 5))
+            if ok.size < k:
+                break
+            idx = sorted(rng.choice(ok, k, replace=False))
+            if any(grid[idx[i + 1]] - grid[idx[i]] <= cfg.delta for i in range(k - 1)):
+                continue
+            expected = refit(idx)
+            if expected is None:
+                continue
+            engine = engine_for(k)
+            assert abs(engine.extend(idx[:-1])[idx[-1]] - expected) <= 1e-8 * engine.rss0
+
+    def test_candidates_crowding_the_left_boundary(self):
+        # several candidates share each data gap near x = 0, so many knot
+        # sets span the same space or nearly so
+        rng = np.random.default_rng(2)
+        xs = 30.0 * np.concatenate([[0.0, 0.1, 0.2], np.sort(rng.uniform(0.3, 1.0, 12))])
+        y = 1e4 * (np.sin(xs / 6.0) + rng.normal(0.0, 0.3, xs.size))
+        grid = np.linspace(0.6, 29.4, 25)
+        cfg = SearchConfig(
+            basis=BasisSpec(BS, 3),
+            delta=0.03,
+            k_max=4,
+            candidate_grid=tuple(grid),
+            penalty=Penalty(policy=LambdaPolicy.FIXED, lam=1.0),
+        )
+        _, val = brute_force(xs, y, cfg, 1.0)
+        assert select(xs, y, cfg).pss <= val
+        domain = Domain(xs[0], xs[-1])
+        engine = search._engines(xs, y, cfg, grid, domain)(4)
+        checked = 0
+        for idx in combinations(range(12), 4):
+            expected = refit_rss(xs, y, cfg.basis, KnotConfig(tuple(grid[list(idx)]), domain))
+            if expected is not None:
+                assert abs(engine.extend(idx[:-1])[idx[-1]] - expected) <= 1e-8 * engine.rss0
+                checked += 1
+        assert checked > 400

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from knotselect.lsq import DataError
 from knotselect.sim import (
     TRUTHS,
     ConfigError,
@@ -105,6 +106,23 @@ class TestRun:
     def test_khat_counts_sum(self):
         rep = run(small_scenario(replications=6, n=150))
         assert sum(rep.khat_counts.values()) == rep.n_total - rep.failures
+
+    def test_data_errors_counted_programming_errors_raised(self, monkeypatch):
+        import knotselect.sim as sim_mod
+
+        def bad_data(xs, y, cfg):
+            raise DataError("bad replication")
+
+        monkeypatch.setattr(sim_mod, "select", bad_data)
+        rep = run(small_scenario(replications=3))
+        assert rep.failures == 3 and rep.n_total == 3
+
+        def broken(xs, y, cfg):
+            raise TypeError("bug in the search")
+
+        monkeypatch.setattr(sim_mod, "select", broken)
+        with pytest.raises(TypeError, match="bug in the search"):
+            run(small_scenario(replications=3))
 
 
 class TestFormatTable:

@@ -125,6 +125,13 @@ class TestIngest:
         assert res.row_errors[0].startswith("line 3:")
         assert res.row_errors[1].startswith("line 4:")
 
+    def test_infinite_count_is_a_row_error(self):
+        text = CSV_HEADER + "01/03/2020,5,A\n02/03/2020,inf,A\n03/03/2020,6,A\n"
+        res = ingest_csv(io.StringIO(text))
+        assert len(res.row_errors) == 1
+        assert res.row_errors[0].startswith("line 3:")
+        assert res.by_label("A").counts == (5.0, 0.0, 6.0)
+
     def test_missing_column_raises(self):
         with pytest.raises(DataError, match="cases"):
             ingest_csv(io.StringIO("dateRep,countriesAndTerritories\n01/03/2020,A\n"))
