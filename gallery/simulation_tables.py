@@ -31,7 +31,7 @@ for truth_name, knots in TRUTHS.items():
             seed=SEED,
             name=f"{truth_name}-snr{snr:g}-n100",
         )
-        reports.append(run(scenario, threads=4))
+        reports.append(run(scenario))
     print(format_table(reports))
 
 print(

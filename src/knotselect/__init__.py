@@ -15,7 +15,14 @@ from .basis import (
 )
 from .criterion import LambdaPolicy, Penalty, cv_lambda, default_lambda, pss
 from .lsq import DataError, LsqFit, UndefinedVarianceError, pointwise_interval, solve
-from .search import InfeasibleError, SearchConfig, SplineModel, best_for_k, select
+from .search import (
+    InfeasibleError,
+    SearchConfig,
+    SplineModel,
+    best_for_k,
+    select,
+    select_lambdas,
+)
 from .sim import SimReport, SimScenario, builtin_scenario, generate, load_scenarios, run
 from .timeseries import (
     DailySeries,
@@ -69,6 +76,7 @@ __all__ = [
     "pss",
     "run",
     "select",
+    "select_lambdas",
     "solve",
     "truncated_power_row",
 ]

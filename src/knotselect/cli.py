@@ -64,9 +64,7 @@ def _resolve_seed(args) -> int:
 
 
 def _effective_config(args, **extra) -> dict:
-    # threads is an execution detail that cannot change results, so it
-    # stays out: equal seeds must give byte-identical artifacts
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "threads")}
+    cfg = {k: v for k, v in vars(args).items() if k != "func"}
     cfg.update(extra)
     return {k: v for k, v in sorted(cfg.items())}
 
@@ -273,7 +271,7 @@ def cmd_simulate(args) -> int:
             f"reps={sc.replications} seed={sc.seed}",
             file=sys.stderr,
         )
-        reports.append(sim.run(sc, threads=args.threads))
+        reports.append(sim.run(sc))
     payload = {
         "reports": [r.to_dict() for r in reports],
         "effective_config": _effective_config(
@@ -390,7 +388,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--config", default=None, help="JSON scenario file")
     p_sim.add_argument("--replications", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--threads", type=int, default=1)
     p_sim.add_argument("--format", choices=["json", "table"], default="json")
     p_sim.add_argument("--output", default=None)
     p_sim.set_defaults(func=cmd_simulate)

@@ -78,10 +78,15 @@ def default_lambda(y, xs) -> float:
 def cv_lambda(xs, y, spec, grid, folds: int, seed: int = 0, **search_kwargs) -> float:
     """Grid value minimizing mean out-of-fold squared error.
 
-    Each candidate runs the full knot search on the training folds and
-    scores the held-out points; ties break toward the larger (smoother)
-    value. Fold assignment is a seeded permutation, so the score is
-    deterministic for a given seed.
+    Each fold computes one knot path on its training rows and reads the
+    model of every grid value off it, each with its own patience stop
+    (:func:`knotselect.search.select_lambdas`); every such model equals
+    a full :func:`knotselect.search.select` at that value, so a
+    cross-validated fit costs one path per fold plus the final search,
+    not one search per (value, fold). The models score the held-out
+    points; ties break toward the larger (smoother) value. Fold
+    assignment is a seeded permutation, so the score is deterministic
+    for a given seed.
     """
     from . import search as _search  # local import: search depends on us
 
@@ -102,22 +107,17 @@ def cv_lambda(xs, y, spec, grid, folds: int, seed: int = 0, **search_kwargs) -> 
     assignment = np.empty(n, dtype=int)
     assignment[perm] = np.arange(n) % folds
     min_train = min(np.count_nonzero(assignment != f) for f in range(folds))
-    if min_train <= spec.dimension(0):
+    if min_train <= _search._fitted_basis(spec, 0).dimension(0):
         raise DataError("a fold leaves fewer training points than the basis dimension")
 
-    scores = []
-    for lam in grid:
-        sse = 0.0
-        for f in range(folds):
-            tr = assignment != f
-            cfg = _search.SearchConfig(
-                basis=spec,
-                penalty=Penalty(policy=LambdaPolicy.FIXED, lam=lam),
-                **search_kwargs,
-            )
-            model = _search.select(xs[tr], y[tr], cfg)
+    cfg = _search.SearchConfig(basis=spec, **search_kwargs)
+    sse = [0.0] * len(grid)
+    for f in range(folds):
+        tr = assignment != f
+        models = _search.select_lambdas(xs[tr], y[tr], cfg, grid)
+        for i, model in enumerate(models):
             pred = model.predict(xs[~tr], extrapolate=True)
-            sse += float(np.sum((y[~tr] - pred) ** 2))
-        scores.append(sse / n)
+            sse[i] += float(np.sum((y[~tr] - pred) ** 2))
+    scores = [s / n for s in sse]
     best = min(range(len(grid)), key=lambda i: (scores[i], -grid[i]))
     return grid[best]

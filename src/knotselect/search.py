@@ -1,11 +1,33 @@
 """Joint minimization of the penalized criterion over knot count and placement.
 
-For a given number of knots the placement problem is solved exactly by
-enumeration up to two knots, and by a seeded exchange heuristic beyond
-(best single insertion into the previous optimum, then coordinate
-descent over knot positions on the candidate grid). Candidate knots are
-restricted to a grid and must respect the minimum-spacing constraint
-delta, including against the domain boundaries.
+The search is split in two. The **knot path** visits k = 0, 1, 2, ...
+and holds, for each k, the best delta-feasible placement of exactly k
+knots with its canonical refit. That placement does not depend on the
+penalty weight lambda: it is exact by enumeration up to two knots, and
+beyond comes from a seeded exchange heuristic (best single insertion
+into the (k-1)-knot placement, then coordinate descent over knot
+positions on the candidate grid). Candidate knots are restricted to a
+grid and must respect the minimum-spacing constraint delta, including
+against the domain boundaries. The path ends after ``k_max`` knots or
+at the first infeasible k.
+
+The **stop rule** reads a lambda's model off the path: it keeps the
+model with the smallest ``RSS + lambda (k + 1)`` and stops once that
+has not improved for ``patience`` consecutive knot counts. The path is
+computed lazily, so it goes only as far as the stop rule asks.
+:func:`select` follows it with one lambda, :func:`best_for_k` up to k,
+and :func:`select_lambdas` with several at once, which is how
+cross-validation scores every lambda of its grid from one path per
+fold.
+
+Lambda reaches the path in one place only. Placements whose engine RSS
+lie within a relative 1e-8 of the best (the near-tie finalists) are
+refit once each, and a lambda picks among them by criterion value, then
+lexicographically smallest knot vector. Rounding of ``RSS + lambda
+(k + 1)`` can merge distinct RSS values into a tie at one lambda and
+not at another; a lambda that picks differently from the path leaves it
+and gets a search of its own, so every result equals a separate
+:func:`select` at that lambda.
 
 One engine drives the enumeration for all three basis families: on x
 rescaled to [0, 1], one knot column per grid point is projected off the
@@ -19,7 +41,7 @@ are canonical regardless of the search path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -214,50 +236,47 @@ def _feasible_mask(grid: np.ndarray, domain: Domain, delta: float, left_bar: flo
     )
 
 
-def _refitter(xs, y, cfg: SearchConfig, grid, domain, lam):
-    """Canonical refit of a grid-index tuple: the path every reported model takes."""
+def _refitter(xs, y, cfg: SearchConfig, grid, domain):
+    """Canonical refit of a grid-index tuple: the path every reported model takes.
 
-    def refit(idx) -> SplineModel:
+    Returns ``(basis, knots, fit)``; the criterion value is left to the
+    caller, since one refit serves every lambda.
+    """
+
+    def refit(idx):
         kc = KnotConfig(tuple(grid[list(idx)]), domain)
         basis = _fitted_basis(cfg.basis, kc.k)
-        fit = lsq.solve(design_matrix(xs, basis, kc), y)
-        return SplineModel(
-            basis=basis,
-            knots=kc,
-            coefficients=fit.coefficients,
-            rss=fit.rss,
-            pss=pss(fit.rss, kc.k, lam),
-            lambda_used=lam,
-            fit=fit,
-        )
+        return basis, kc, lsq.solve(design_matrix(xs, basis, kc), y)
 
     return refit
 
 
-def _resolve_near_ties(finalists, refit):
-    """Pick among near-minimal placements by canonical criterion value.
+def _pick(k: int, finalists, rss, lam: float) -> int:
+    """Index of the finalist lam picks: smallest criterion, then smallest index vector.
 
-    The incremental engine's RSS values can differ from the canonical
-    refit in the last bits, which matters only when distinct placements
-    tie exactly. Refitting the shortlist restores the documented
-    tie-break: smallest criterion, then lexicographically smallest knot
-    vector.
+    The engine's RSS values can differ from the canonical refit in the
+    last bits, which matters only when distinct placements tie exactly,
+    so near-minimal placements are compared by their refit RSS. Adding
+    ``lam * (k + 1)`` never reorders two RSS values, but rounding can
+    merge them into a tie, which the index vector then breaks: that is
+    the only way two lambdas can pick differently.
     """
     if len(finalists) == 1:
-        return finalists[0]
-    return min((refit(idx).pss, idx) for idx in finalists)[1]
+        return 0
+    return min(range(len(finalists)), key=lambda i: (pss(rss[i], k, lam), finalists[i]))
 
 
-def _best_placement(engine_for, grid, delta, singles_ok, k, prev_best, refit):
-    """Best grid indices for exactly k knots; exact for k <= 2.
+def _finalists(engine_for, grid, delta, singles_ok, k, prev_best) -> list:
+    """Near-minimal grid-index placements of exactly k knots; exact for k <= 2.
 
-    ``prev_best`` is the optimal (k-1)-set used to seed the exchange
-    heuristic. Exact ties resolve to the lexicographically smallest
-    index vector via a canonical refit of the shortlist.
+    For k <= 2 these are every placement whose engine RSS lies within
+    a relative 1e-8 of the minimum; beyond, the single placement found
+    by the exchange heuristic seeded with ``prev_best``, the placement
+    chosen for k - 1.
     """
     ok = np.flatnonzero(singles_ok)
     if k == 0:
-        return ()
+        return [()]
     if ok.size < k:
         raise InfeasibleError(f"cannot place {k} knots on the feasible grid")
     engine = engine_for(k)
@@ -266,8 +285,7 @@ def _best_placement(engine_for, grid, delta, singles_ok, k, prev_best, refit):
     if k == 1:
         rss1 = engine.extend(())
         lo = float(rss1[ok].min())
-        finalists = [(int(i),) for i in ok if rss1[i] <= lo + tol]
-        return _resolve_near_ties(finalists, refit)
+        return [(int(i),) for i in ok if rss1[i] <= lo + tol]
 
     if k == 2:
         lo, near = np.inf, []
@@ -281,8 +299,7 @@ def _best_placement(engine_for, grid, delta, singles_ok, k, prev_best, refit):
             near += [((int(i), int(j)), v) for j, v in zip(js[keep], vals[keep])]
         if not near:
             raise InfeasibleError("no delta-feasible pair of knots")
-        finalists = [p for p, v in near if v <= lo + tol]
-        return _resolve_near_ties(finalists, refit)
+        return [p for p, v in near if v <= lo + tol]
 
     def candidates(others):
         """RSS of others + g, inf where g is not a delta-feasible addition."""
@@ -311,7 +328,99 @@ def _best_placement(engine_for, grid, delta, singles_ok, k, prev_best, refit):
                 improved = True
         if not improved:
             break
-    return tuple(cur)
+    return [tuple(cur)]
+
+
+# ---------------------------------------------------------------------------
+# the knot path and the stop rule
+
+
+@dataclass(frozen=True)
+class _PathStep:
+    """The knot path at one knot count: its finalists and the chosen refit.
+
+    ``rss`` holds the canonical refit RSS of each finalist, ``chosen``
+    indexes the finalist the path continues from, and ``basis``,
+    ``knots`` and ``fit`` are that finalist's refit.
+    """
+
+    k: int
+    finalists: tuple
+    rss: tuple
+    chosen: int
+    basis: BasisSpec
+    knots: KnotConfig
+    fit: lsq.LsqFit
+
+    def model(self, lam: float) -> SplineModel:
+        return SplineModel(
+            basis=self.basis,
+            knots=self.knots,
+            coefficients=self.fit.coefficients,
+            rss=self.fit.rss,
+            pss=pss(self.fit.rss, self.k, lam),
+            lambda_used=lam,
+            fit=self.fit,
+        )
+
+
+def _knot_path(xs, y, cfg: SearchConfig, grid, domain, left_bar, tie_lam: float):
+    """Yield one :class:`_PathStep` per knot count k = 0, 1, 2, ...
+
+    Each step holds the best delta-feasible placement of exactly k knots
+    (k >= 3 seeded by the step before) and its canonical refit. The path
+    ends after ``cfg.k_max`` or at the first infeasible k. It does not
+    depend on lambda, except that ``tie_lam`` picks among finalists that
+    tie after rounding (see :func:`_pick`).
+    """
+    engine_for = _engines(xs, y, cfg, grid, domain)
+    singles_ok = _feasible_mask(grid, domain, cfg.delta, left_bar)
+    refit = _refitter(xs, y, cfg, grid, domain)
+    prev = ()
+    for k in range(cfg.k_max + 1):
+        try:
+            finalists = tuple(_finalists(engine_for, grid, cfg.delta, singles_ok, k, prev))
+        except InfeasibleError:
+            return  # larger k cannot be feasible either
+        fits = [refit(idx) for idx in finalists]
+        rss = tuple(fit.rss for _, _, fit in fits)
+        chosen = _pick(k, finalists, rss, tie_lam)
+        prev = finalists[chosen]
+        step = _PathStep(k, finalists, rss, chosen, *fits[chosen])
+        del fits  # the other finalists' refits need not outlive this step
+        yield step
+
+
+def _follow(path, lams, patience: int, own_search) -> list:
+    """Best model for each lambda in ``lams``, all read off one knot path.
+
+    The stop rule, per lambda: keep the model with the smallest
+    criterion, preferring fewer knots on ties, and stop once it has not
+    improved for ``patience`` consecutive knot counts. The path is
+    advanced only while some lambda has not stopped. A lambda whose own
+    tie-break picks another finalist than the path's leaves the path,
+    since the path's placements from there on are not its placements;
+    its model is then ``own_search(lam)``.
+    """
+    best = [None] * len(lams)
+    stale = [0] * len(lams)
+    live = list(range(len(lams)))
+    for step in path:
+        for i in list(live):
+            if _pick(step.k, step.finalists, step.rss, lams[i]) != step.chosen:
+                best[i] = own_search(lams[i])
+                live.remove(i)
+                continue
+            model = step.model(lams[i])
+            if best[i] is None or model.pss < best[i].pss:
+                best[i], stale[i] = model, 0
+            else:
+                stale[i] += 1
+                if stale[i] >= patience:
+                    live.remove(i)
+        if not live:
+            break
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +439,9 @@ def _prepare(xs, y, cfg: SearchConfig):
     if xs[0] == xs[-1]:
         raise DataError("constant x: nothing to fit")
     domain = Domain(float(xs[0]), float(xs[-1]))
-    if xs.size <= cfg.basis.dimension(0):
-        raise DataError(
-            f"need more than {cfg.basis.dimension(0)} observations for the k=0 fit"
-        )
+    dim0 = _fitted_basis(cfg.basis, 0).dimension(0)
+    if xs.size <= dim0:
+        raise DataError(f"need more than {dim0} observations for the k=0 fit")
 
     if cfg.candidate_grid is not None:
         grid = np.asarray(cfg.candidate_grid, dtype=float)
@@ -380,13 +488,10 @@ def best_for_k(xs, y, k: int, cfg: SearchConfig, lam: float | None = None) -> Sp
     xs, y, domain, grid, left_bar = _prepare(xs, y, cfg)
     if lam is None:
         lam = _resolve_lambda(xs, y, cfg)
-    engine_for = _engines(xs, y, cfg, grid, domain)
-    singles_ok = _feasible_mask(grid, domain, cfg.delta, left_bar)
-    refit = _refitter(xs, y, cfg, grid, domain, lam)
-    prev = ()
-    for kk in range(1, k + 1):
-        prev = _best_placement(engine_for, grid, cfg.delta, singles_ok, kk, prev, refit)
-    return refit(prev)
+    for step in _knot_path(xs, y, cfg, grid, domain, left_bar, lam):
+        if step.k == k:
+            return step.model(lam)
+    raise InfeasibleError(f"no delta-feasible placement of {k} knots")
 
 
 def select(xs, y, cfg: SearchConfig) -> SplineModel:
@@ -399,29 +504,25 @@ def select(xs, y, cfg: SearchConfig) -> SplineModel:
     """
     xs, y, domain, grid, left_bar = _prepare(xs, y, cfg)
     lam = _resolve_lambda(xs, y, cfg)
-    engine_for = _engines(xs, y, cfg, grid, domain)
-    singles_ok = _feasible_mask(grid, domain, cfg.delta, left_bar)
-    refit = _refitter(xs, y, cfg, grid, domain, lam)
+    path = _knot_path(xs, y, cfg, grid, domain, left_bar, lam)
+    return _follow(path, [lam], cfg.patience, None)[0]
 
-    best_model = None
-    stale = 0
-    prev_placement = ()
-    k = 0
-    while k <= cfg.k_max:
-        try:
-            placement = _best_placement(
-                engine_for, grid, cfg.delta, singles_ok, k, prev_placement, refit
-            )
-        except InfeasibleError:
-            break  # larger k cannot be feasible either
-        prev_placement = placement
-        model = refit(placement)
-        if best_model is None or model.pss < best_model.pss:
-            best_model = model
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-        k += 1
-    return best_model
+
+def select_lambdas(xs, y, cfg: SearchConfig, lams) -> list[SplineModel]:
+    """:func:`select` at each fixed lambda in ``lams``, from one knot path.
+
+    ``cfg.penalty`` is not read. Result i equals ``select(xs, y, cfg)``
+    with the penalty fixed at ``lams[i]``, bit for bit: a lambda whose
+    tie-break leaves the shared path gets that search of its own.
+    """
+    lams = [float(lam) for lam in lams]
+    if not lams or min(lams) <= 0:
+        raise ValueError("lams must be nonempty with positive entries")
+    xs, y, domain, grid, left_bar = _prepare(xs, y, cfg)
+    path = _knot_path(xs, y, cfg, grid, domain, left_bar, lams[0])
+
+    def own_search(lam: float) -> SplineModel:
+        fixed = Penalty(policy=LambdaPolicy.FIXED, lam=lam)
+        return select(xs, y, replace(cfg, penalty=fixed))
+
+    return _follow(path, lams, cfg.patience, own_search)

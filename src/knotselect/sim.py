@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +103,18 @@ class SimScenario:
         }
 
 
+def _design(scenario: SimScenario) -> tuple[np.ndarray, np.ndarray, float]:
+    """Equispaced design, truth signal on it and noise sd; the same for every replication."""
+    xs = np.linspace(_DOMAIN.a, _DOMAIN.b, scenario.n)
+    f = scenario.truth_signal(xs)
+    return xs, f, float(np.std(f)) / scenario.snr
+
+
+def _noisy(scenario: SimScenario, rep_index: int, f: np.ndarray, sigma: float) -> np.ndarray:
+    rng = np.random.default_rng([scenario.seed, rep_index])
+    return f + rng.normal(0.0, sigma, scenario.n)
+
+
 def generate(scenario: SimScenario, rep_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Equispaced design plus truth signal plus calibrated Gaussian noise.
 
@@ -111,11 +122,8 @@ def generate(scenario: SimScenario, rep_index: int) -> tuple[np.ndarray, np.ndar
     the noise stream is keyed by (seed, rep_index) so any replication is
     replayable in isolation.
     """
-    xs = np.linspace(_DOMAIN.a, _DOMAIN.b, scenario.n)
-    f = scenario.truth_signal(xs)
-    sigma = float(np.std(f)) / scenario.snr
-    rng = np.random.default_rng([scenario.seed, rep_index])
-    return xs, f + rng.normal(0.0, sigma, scenario.n)
+    xs, f, sigma = _design(scenario)
+    return xs, _noisy(scenario, rep_index, f, sigma)
 
 
 def _search_config(scenario: SimScenario) -> SearchConfig:
@@ -180,32 +188,28 @@ class SimReport:
         return json.dumps(self.to_dict(**kwargs), indent=2, sort_keys=True)
 
 
-def run(scenario: SimScenario, threads: int = 1) -> SimReport:
+def run(scenario: SimScenario) -> SimReport:
     """Execute every replication and aggregate the scenario statistics.
 
-    A replication whose data cannot be fitted (``DataError`` or
+    The design and the truth signal are built once; each replication
+    draws only its noise, exactly as :func:`generate` would. A
+    replication whose data cannot be fitted (``DataError`` or
     ``LinAlgError``) is counted as a failure, not fatal; any other
-    exception propagates. Aggregation is by replication index, so the
-    result does not depend on ``threads``.
+    exception propagates.
     """
     cfg = _search_config(scenario)
     true_k = len(scenario.truth_knots)
+    xs, f, sigma = _design(scenario)
 
     def one(rep: int):
         t0 = time.perf_counter()
         try:
-            xs, y = generate(scenario, rep)
-            model = select(xs, y, cfg)
+            model = select(xs, _noisy(scenario, rep, f, sigma), cfg)
             return model.k, list(model.knots.knots), time.perf_counter() - t0
         except (DataError, np.linalg.LinAlgError):
             return None, None, time.perf_counter() - t0
 
-    reps = range(scenario.replications)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, reps))
-    else:
-        results = [one(r) for r in reps]
+    results = [one(r) for r in range(scenario.replications)]
 
     khats = [r[0] for r in results]
     failures = sum(1 for k in khats if k is None)

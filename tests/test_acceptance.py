@@ -160,7 +160,7 @@ def test_05_one_knot_large_sample():
     sd_caps = {3.0: 2.5, 6.0: 1.3, 9.0: 1.0}
     lines = []
     for snr, cap in sd_caps.items():
-        rep = sim_run(_scenario("one-knot", snr, 1000, 200, seed=505), threads=4)
+        rep = sim_run(_scenario("one-knot", snr, 1000, 200, seed=505))
         assert rep.prop_correct_k >= 0.98
         st = rep.knot_stats[0]
         assert abs(st.mean - 50.0) <= 1.0
@@ -170,7 +170,7 @@ def test_05_one_knot_large_sample():
 
 
 def test_06_three_knots_small_sample():
-    rep = sim_run(_scenario("three-knots", 3.0, 100, 200, seed=606), threads=4)
+    rep = sim_run(_scenario("three-knots", 3.0, 100, 200, seed=606))
     assert rep.prop_correct_k >= 0.90
     means = [st.mean for st in rep.knot_stats]
     for m, truth in zip(means, (25.0, 50.0, 75.0)):
@@ -186,7 +186,7 @@ def test_07_monotone_in_snr():
     for truth in TRUTHS:
         for n in (100, 1000):
             for snr in (3.0, 6.0, 9.0):
-                rep = sim_run(_scenario(truth, snr, n, 100, seed=707), threads=4)
+                rep = sim_run(_scenario(truth, snr, n, 100, seed=707))
                 cells[(truth, n, snr)] = rep.prop_correct_k
     for truth in TRUTHS:
         for n in (100, 1000):
@@ -200,7 +200,7 @@ def test_08_demo_truth_recovered():
         truth_knots=(20.0, 45.0, 80.0), snr=3.0, n=200, replications=100, seed=808,
         name="demo",
     )
-    rep = sim_run(scenario, threads=4)
+    rep = sim_run(scenario)
     close = sum(
         1
         for sample in rep.knot_samples
@@ -250,12 +250,11 @@ def test_10_cli_determinism(capsys):
         assert cli_main(args + list(extra)) == 0
         return capsys.readouterr().out
 
-    first = run(["--threads", "1"])
-    assert run(["--threads", "1"]) == first
-    assert run(["--threads", "4"]) == first
+    first = run()
+    assert run() == first
 
     assert cli_main(["demo", "--seed", "3"]) == 0
     demo1 = capsys.readouterr().out
     assert cli_main(["demo", "--seed", "3"]) == 0
     assert capsys.readouterr().out == demo1
-    report(10, "byte-identical JSON across repeats and --threads 1 vs 4")
+    report(10, "byte-identical JSON across repeats")

@@ -88,6 +88,15 @@ class TestFit:
         assert code == 3 and out == ""
         assert "9" in err and "8" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("basis", ["natural", "truncated-power"])
+    def test_four_rows_too_few_for_cubic_k0_exit_2(self, capsys, tmp_path, basis):
+        # natural cubic fits k = 0 in cubic truncated power: 4 columns
+        path = tmp_path / "four.csv"
+        path.write_text("x,y\n0,1\n1,3\n2,2\n3,5\n")
+        code, out, err = run_cli(capsys, "fit", str(path), "--basis", basis)
+        assert code == 2 and out == ""
+        assert "need more than 4 observations for the k=0 fit" in err
+
     def test_output_file(self, capsys, xy_csv, tmp_path):
         dest = tmp_path / "out.json"
         code, out, _ = run_cli(capsys, "fit", xy_csv, "--output", str(dest))
@@ -138,12 +147,6 @@ class TestSimulate:
         _, out1, _ = run_cli(capsys, *self.ARGS)
         _, out2, _ = run_cli(capsys, *self.ARGS)
         assert out1 == out2
-
-    def test_threads_do_not_change_bytes(self, capsys):
-        _, out1, _ = run_cli(capsys, *self.ARGS, "--threads", "1")
-        _, out2, _ = run_cli(capsys, *self.ARGS, "--threads", "4")
-        payload1, payload2 = json.loads(out1), json.loads(out2)
-        assert payload1["reports"] == payload2["reports"]
 
     def test_drawn_seed_recorded(self, capsys):
         code, out, err = run_cli(

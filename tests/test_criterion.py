@@ -127,6 +127,14 @@ class TestCvLambda:
             cv_lambda(xs[:8], y[:8], BasisSpec(TP, 1), [1.0, 2.0], folds=9)
 
 
+    def test_natural_cubic_folds_need_more_than_four_training_rows(self):
+        # 6 rows in 3 folds leave 4 training rows, as many as the cubic
+        # truncated-power columns natural cubic fits k = 0 in
+        xs, y = _one_knot_linear_data(n=6)
+        with pytest.raises(DataError, match="fewer training points"):
+            cv_lambda(xs, y, BasisSpec(BasisFamily.NATURAL_CUBIC), [1.0, 2.0], folds=3, delta=0.5)
+
+
 class TestShiftInvariance:
     def test_selected_knots_unchanged_by_offset(self):
         xs, y = _one_knot_linear_data(noise=0.3, seed=4)

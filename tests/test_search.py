@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from knotselect import lsq, search
 from knotselect.basis import BasisFamily, BasisSpec, Domain, KnotConfig, design_matrix
 from knotselect.criterion import LambdaPolicy, Penalty, pss
+from knotselect.lsq import DataError
 from knotselect.search import InfeasibleError, SearchConfig, best_for_k, select
 
 TP = BasisFamily.TRUNCATED_POWER
@@ -198,6 +199,13 @@ class TestSelect:
             select(np.full(10, 3.0), np.arange(10.0), cfg)
         with pytest.raises(Exception):
             select(np.arange(2.0), np.arange(2.0), cfg)
+
+    def test_natural_cubic_k0_needs_more_than_four_points(self):
+        cfg = SearchConfig(basis=BasisSpec(NC), delta=0.5)
+        xs = np.arange(5.0)
+        with pytest.raises(DataError, match="more than 4"):
+            select(xs[:4], xs[:4] ** 2, cfg)
+        assert select(xs, xs**2, cfg).k == 0
 
     def test_natural_cubic_falls_back_below_two_knots(self):
         rng = np.random.default_rng(12)

@@ -86,10 +86,6 @@ class TestRun:
         a, b = run(sc), run(sc)
         assert a.to_json() == b.to_json()
 
-    def test_threads_do_not_change_result(self):
-        sc = small_scenario(replications=6, n=200)
-        assert run(sc, threads=1).to_json() == run(sc, threads=3).to_json()
-
     def test_timing_out_of_default_payload(self):
         rep = run(small_scenario(replications=2, n=100))
         assert "mean_rep_seconds" not in rep.to_dict()
