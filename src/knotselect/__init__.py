@@ -22,6 +22,7 @@ from .search import (
     best_for_k,
     select,
     select_lambdas,
+    select_many,
 )
 from .sim import SimReport, SimScenario, builtin_scenario, generate, load_scenarios, run
 from .timeseries import (
@@ -77,6 +78,7 @@ __all__ = [
     "run",
     "select",
     "select_lambdas",
+    "select_many",
     "solve",
     "truncated_power_row",
 ]

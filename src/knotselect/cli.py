@@ -189,6 +189,10 @@ def cmd_fit(args) -> int:
             _emit(_json(payload), args.output)
         return 0
 
+    if args.format != "json":
+        raise ConfigError(
+            f"--format {args.format} needs a time series (--timeseries or --country)"
+        )
     xs, y = _read_xy(args.input, args.x_col, args.y_col)
     grid = None
     if args.grid_step is not None:

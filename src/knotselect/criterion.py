@@ -32,8 +32,8 @@ class Penalty:
 
     def __post_init__(self):
         if self.policy is LambdaPolicy.FIXED:
-            if self.lam is None or self.lam <= 0:
-                raise ValueError("fixed policy requires lambda > 0")
+            if self.lam is None or not 0 < self.lam < np.inf:
+                raise ValueError(f"fixed policy requires a finite lambda > 0, got {self.lam}")
         if self.policy is LambdaPolicy.CROSS_VALIDATION and self.cv_folds < 2:
             raise ValueError("cross-validation requires cv_folds >= 2")
 
@@ -93,8 +93,8 @@ def cv_lambda(xs, y, spec, grid, folds: int, seed: int = 0, **search_kwargs) -> 
     xs = np.asarray(xs, dtype=float)
     y = np.asarray(y, dtype=float)
     grid = [float(g) for g in grid]
-    if not grid or any(g <= 0 for g in grid):
-        raise ValueError("grid must be nonempty with positive entries")
+    if not grid or not all(0 < g < np.inf for g in grid):
+        raise ValueError("grid must be nonempty with positive finite entries")
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if len(grid) == 1:

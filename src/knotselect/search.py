@@ -29,12 +29,23 @@ not at another; a lambda that picks differently from the path leaves it
 and gets a search of its own, so every result equals a separate
 :func:`select` at that lambda.
 
-One engine drives the enumeration for all three basis families: on x
+One engine drives the enumeration for all three basis families. Its
+design half depends only on x, the grid and the spline space: on x
 rescaled to [0, 1], one knot column per grid point is projected off the
-polynomial part once, after which a rank-one least-squares update gives
-the RSS of adding each grid point to a knot set, for the whole grid in
-one numpy pass. The k = 1 and k = 2 scans, the k >= 3 insertion and every
-coordinate-descent move are each a few such passes. Reported models are
+polynomial part once. Its response half holds each response's residual
+off the polynomials and that residual's products with the knot columns.
+A rank-one least-squares update then gives the RSS of adding each grid
+point to a knot set, for the whole grid in one numpy pass. The k = 1
+and k = 2 scans, the k >= 3 insertion and every coordinate-descent move
+are each a few such passes.
+
+:func:`select_many` searches many responses that share x, the grid and
+the config, as the replications of a simulation do. The design half is
+built once, and the k = 1 and k = 2 scans, which are exhaustive and need
+no earlier placement, run once for all responses: each row of the k = 2
+scan does its design work once, and each response keeps its own
+minimum and near-tie finalists. From k = 3 on each response follows its
+own path. :func:`select` is the one-response case. Reported models are
 always refit through :mod:`knotselect.lsq`, so returned RSS/PSS values
 are canonical regardless of the search path.
 """
@@ -77,8 +88,8 @@ class SearchConfig:
     patience: int = 2
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be a positive finite number, got {self.delta}")
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         if not 0.0 <= self.exclude_left_frac < 1.0:
@@ -135,11 +146,14 @@ def _fitted_basis(spec: BasisSpec, k: int) -> BasisSpec:
     return spec
 
 
-class _RssEngine:
-    """RSS of every one-knot extension of a knot set, in one numpy pass.
+_BLOCK = 32  # knot columns built and projected per pass: bounds the temporaries
 
-    Works on one spline space on x rescaled to z in [0, 1]: polynomial
-    columns P plus one knot column per grid point t,
+
+class _Design:
+    """Design half of the RSS engine: one spline space on a fixed x and grid.
+
+    Works on x rescaled to z in [0, 1]: polynomial columns P plus one
+    knot column per grid point t,
 
     * truncated power and B-spline (same span): ``z^0..z^p`` and
       ``(z - t)_+^p``, taken as ``(t - z)^p 1[z < t]`` for t < 1/2 (the
@@ -148,80 +162,129 @@ class _RssEngine:
     * natural cubic: ``1, z`` and ``(z - t)_+^3 - (1 - t) z^3``, the cubic
       truncated-power span with f''(0) = f''(1) = 0 imposed.
 
-    Knot columns are projected off P once, giving V. For a knot set S
-    with residual r_S, adding grid point g gives the rank-one update
-    ``RSS(S + g) = RSS(S) - (v_g' r_S)^2 / (v_g' (I - P_S) v_g)``. A
-    column whose squared norm after projection off P and S is at most
+    Knot columns are built and projected off P a block at a time, giving
+    V, stored transposed as ``Vt``, with no second n x G array. A column
+    whose squared norm after projection off P and a knot set is at most
     ``RANK_RTOL**2`` times its raw squared norm (the relative size below
-    which :func:`lsq.solve` drops a singular direction) lies in that
-    span numerically and lowers the RSS by nothing.
+    which :func:`lsq.solve` drops a singular direction) lies in that span
+    numerically and lowers the RSS by nothing.
     """
 
-    def __init__(self, xs, y, grid, domain: Domain, spec: BasisSpec):
+    def __init__(self, xs, grid, domain: Domain, spec: BasisSpec):
         z = (xs - domain.a) / domain.width
         t = (grid - domain.a) / domain.width
-        C = z[:, None] - t  # built in place: the engine holds O(nG) memory
-        if spec.family is BasisFamily.NATURAL_CUBIC:
+        natural = spec.family is BasisFamily.NATURAL_CUBIC
+        if natural:
             P = np.column_stack([np.ones_like(z), z])
-            np.maximum(C, 0.0, out=C)
-            C **= 3
-            C -= np.outer(z**3, 1.0 - t)
         else:
             P = np.column_stack([z**j for j in range(spec.degree + 1)])
-            keep = (C >= 0) != (t < 0.5)
-            np.abs(C, out=C)
-            C **= spec.degree
-            C *= keep
         Q0, _ = np.linalg.qr(P)
-        self.floor = lsq.RANK_RTOL**2 * np.einsum("ij,ij->j", C, C)
-        C -= Q0 @ (Q0.T @ C)
-        self.V = C
-        self.r0 = y - Q0 @ (Q0.T @ y)
-        self.rss0 = float(self.r0 @ self.r0)
-        self.vr = self.V.T @ self.r0
-        self.norm2 = np.einsum("ij,ij->j", self.V, self.V)
+        Vt = np.empty((t.size, z.size))  # row g is the knot column of grid point g
+        raw2 = np.empty(t.size)
+        for a in range(0, t.size, _BLOCK):
+            b = slice(a, a + _BLOCK)
+            C = Vt[b]
+            np.subtract(z, t[b, None], out=C)
+            if natural:
+                np.maximum(C, 0.0, out=C)
+                C **= 3
+                C -= np.outer(1.0 - t[b], z**3)
+            else:
+                keep = (C >= 0) != (t[b, None] < 0.5)
+                np.abs(C, out=C)
+                C **= spec.degree
+                C *= keep
+            raw2[b] = np.einsum("ij,ij->i", C, C)
+            C -= (C @ Q0) @ Q0.T
+        self.Q0, self.Vt = Q0, Vt
+        self.floor = lsq.RANK_RTOL**2 * raw2
+        self.norm2 = np.einsum("ij,ij->i", Vt, Vt)
 
     def _orthonormal(self, idx) -> np.ndarray:
-        """Orthonormal basis of the projected columns in idx (Gram-Schmidt)."""
-        U = np.empty((self.V.shape[0], 0))
+        """Orthonormal rows spanning the projected columns in idx (Gram-Schmidt)."""
+        U = np.empty((len(idx), self.Vt.shape[1]))
+        m = 0
         for i in idx:
-            w = self.V[:, i]
-            for _ in range(2):  # twice is enough for orthogonality
-                w = w - U @ (U.T @ w)
+            w = self.Vt[i]
+            for _ in range(2 if m else 0):  # twice is enough for orthogonality
+                w = w - (U[:m] @ w) @ U[:m]
             w2 = float(w @ w)
             if w2 > self.floor[i]:
-                U = np.column_stack([U, w / np.sqrt(w2)])
-        return U
+                U[m] = w / np.sqrt(w2)
+                m += 1
+        return U[:m]
 
-    def extend(self, idx) -> np.ndarray:
-        """RSS(idx + g) for every grid index g (meaningless for g in idx)."""
+    def part(self, idx, cols: slice):
+        """The response-free work of extending idx by the grid points in ``cols``.
+
+        Returns ``(U, B, den, redo, W)``: the rows of U span the
+        projected columns of idx, ``B = U V``, ``den`` is each column's
+        squared norm after projection off U, and the ``redo`` columns,
+        where most of v_g lies in span(U) so that the subtraction loses
+        digits, are projected explicitly into the rows of W.
+        """
         U = self._orthonormal(idx)
-        ur = U.T @ self.r0
-        B = U.T @ self.V
-        num = self.vr - B.T @ ur
-        den = self.norm2 - np.einsum("ij,ij->j", B, B)
-        # where most of v_g lies in span(S) the subtraction loses digits:
-        # project those columns explicitly
-        redo = np.flatnonzero(den < 1e-3 * self.norm2)
-        W = self.V[:, redo] - U @ B[:, redo]
-        num[redo] = W.T @ self.r0
-        den[redo] = np.einsum("ij,ij->j", W, W)
-        drop = np.zeros_like(den)
-        np.divide(num * num, den, out=drop, where=den > self.floor)
-        return np.maximum(self.rss0 - float(ur @ ur) - drop, 0.0)
+        Vt, norm2 = self.Vt[cols], self.norm2[cols]
+        B = U @ Vt.T
+        den = norm2 - np.einsum("ij,ij->j", B, B)
+        redo = np.flatnonzero(den < 1e-3 * norm2)
+        W = Vt[redo] - B[:, redo].T @ U
+        den[redo] = np.einsum("ij,ij->i", W, W)
+        return U, B, den, redo, W
 
 
-def _engines(xs, y, cfg: SearchConfig, grid, domain):
-    """Engine for the space a k-knot model is fitted in, built on first use."""
-    built = {}
+def _dot_rows(A, B) -> np.ndarray:
+    """``A @ B.T``; for a 2-D A each entry is its own dot product.
 
-    def engine_for(k: int) -> _RssEngine:
-        spec = _fitted_basis(cfg.basis, k)
-        if spec not in built:
-            built[spec] = _RssEngine(xs, y, grid, domain, spec)
-        return built[spec]
+    So row r of the result does not depend on the other rows of A,
+    whereas a BLAS matrix product sums in an order that changes with
+    A's shape.
+    """
+    if A.ndim == 1:
+        return B @ A
+    return np.einsum("rn,mn->rm", A, B)
 
-    return engine_for
+
+class _Responses:
+    """Response half of the RSS engine: R responses, one per row, on one design.
+
+    Holds each response's residual r0 off the polynomials, its RSS and
+    ``V'r0``. For a knot set S with residual r_S, adding grid point g
+    gives the rank-one update
+    ``RSS(S + g) = RSS(S) - (v_g' r_S)^2 / (v_g' (I - P_S) v_g)``, for
+    every g and every response in one numpy pass. A response's values do
+    not depend on the other rows: the residuals are built one response
+    at a time and every product over the data is taken row by row
+    (:func:`_dot_rows`), so a batch gives each response the bits it gets
+    alone.
+    """
+
+    def __init__(self, design: _Design, r0, rss0, vr):
+        self.design, self.r0, self.rss0, self.vr = design, r0, rss0, vr
+
+    @classmethod
+    def of(cls, design: _Design, Y) -> _Responses:
+        Q0, Vt = design.Q0, design.Vt
+        r0 = np.array([y - Q0 @ (Q0.T @ y) for y in Y])
+        rss0 = np.array([float(r @ r) for r in r0])
+        return cls(design, r0, rss0, np.array([Vt @ r for r in r0]))
+
+    def rows(self, rows) -> _Responses:
+        """The responses in ``rows`` alone; an int gives one response, unbatched."""
+        return _Responses(self.design, self.r0[rows], self.rss0[rows], self.vr[rows])
+
+    def extend(self, idx, cols: slice = slice(None)) -> np.ndarray:
+        """RSS(idx + g) for every response and grid index g in cols (meaningless for g in idx).
+
+        The design part is computed once and serves every response.
+        """
+        U, B, den, redo, W = self.design.part(idx, cols)
+        ur = _dot_rows(self.r0, U)
+        num = self.vr[..., cols] - ur @ B
+        num[..., redo] = _dot_rows(self.r0, W)
+        drop = np.zeros_like(num)
+        np.divide(num * num, den, out=drop, where=den > self.design.floor[cols])
+        return np.maximum((self.rss0 - (ur * ur).sum(axis=-1))[..., None] - drop, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +297,6 @@ def _feasible_mask(grid: np.ndarray, domain: Domain, delta: float, left_bar: flo
         & (domain.b - grid > delta)
         & (grid >= left_bar)
     )
-
-
-def _refitter(xs, y, cfg: SearchConfig, grid, domain):
-    """Canonical refit of a grid-index tuple: the path every reported model takes.
-
-    Returns ``(basis, knots, fit)``; the criterion value is left to the
-    caller, since one refit serves every lambda.
-    """
-
-    def refit(idx):
-        kc = KnotConfig(tuple(grid[list(idx)]), domain)
-        basis = _fitted_basis(cfg.basis, kc.k)
-        return basis, kc, lsq.solve(design_matrix(xs, basis, kc), y)
-
-    return refit
 
 
 def _pick(k: int, finalists, rss, lam: float) -> int:
@@ -266,40 +314,51 @@ def _pick(k: int, finalists, rss, lam: float) -> int:
     return min(range(len(finalists)), key=lambda i: (pss(rss[i], k, lam), finalists[i]))
 
 
-def _finalists(engine_for, grid, delta, singles_ok, k, prev_best) -> list:
-    """Near-minimal grid-index placements of exactly k knots; exact for k <= 2.
+def _scan_singles(engine: _Responses, ok) -> list:
+    """Every response's single knots within a relative 1e-8 of its minimum RSS."""
+    vals = engine.extend(())[:, ok]
+    bound = vals.min(axis=1) + 1e-8 * engine.rss0
+    return [[(int(i),) for i in ok[v <= b]] for v, b in zip(vals, bound)]
 
-    For k <= 2 these are every placement whose engine RSS lies within
-    a relative 1e-8 of the minimum; beyond, the single placement found
-    by the exchange heuristic seeded with ``prev_best``, the placement
-    chosen for k - 1.
+
+def _scan_pairs(engine: _Responses, grid, delta, ok) -> list:
+    """Every response's delta-feasible knot pairs within a relative 1e-8 of its minimum RSS.
+
+    One pass over the first knot i serves all responses: each
+    ``extend((i,), ...)`` does its design work once, and only for the
+    partners j that may follow i. Each response keeps its own running
+    minimum and the pairs within tolerance of it.
     """
-    ok = np.flatnonzero(singles_ok)
-    if k == 0:
-        return [()]
-    if ok.size < k:
-        raise InfeasibleError(f"cannot place {k} knots on the feasible grid")
-    engine = engine_for(k)
     tol = 1e-8 * engine.rss0
+    lo = np.full(tol.size, np.inf)
+    near = []
+    for i in ok:
+        js = ok[grid[ok] - grid[i] > delta]
+        if not js.size:
+            continue
+        vals = engine.extend((i,), slice(js[0], js[-1] + 1))[:, js - js[0]]
+        lo = np.minimum(lo, vals.min(axis=1))
+        keep = vals <= (lo + tol)[:, None]
+        if keep.any():
+            rr, jj = np.nonzero(keep)
+            near.append((i, rr, js[jj], vals[rr, jj]))
+    if not near:
+        raise InfeasibleError("no delta-feasible pair of knots")
+    pairs = [[] for _ in tol]
+    for i, rr, js, vals in near:
+        final = vals <= (lo + tol)[rr]
+        for r, j in zip(rr[final], js[final]):
+            pairs[r].append((int(i), int(j)))
+    return pairs
 
-    if k == 1:
-        rss1 = engine.extend(())
-        lo = float(rss1[ok].min())
-        return [(int(i),) for i in ok if rss1[i] <= lo + tol]
 
-    if k == 2:
-        lo, near = np.inf, []
-        for i in ok:
-            js = ok[grid[ok] - grid[i] > delta]
-            if not js.size:
-                continue
-            vals = engine.extend((i,))[js]
-            lo = min(lo, float(vals.min()))
-            keep = vals <= lo + tol
-            near += [((int(i), int(j)), v) for j, v in zip(js[keep], vals[keep])]
-        if not near:
-            raise InfeasibleError("no delta-feasible pair of knots")
-        return [p for p, v in near if v <= lo + tol]
+def _exchange(engine: _Responses, grid, delta, singles_ok, k, prev_best) -> list:
+    """One k-knot placement by the exchange heuristic, seeded with ``prev_best``.
+
+    Inserts the RSS-minimizing grid point into the (k-1)-knot placement,
+    then moves each knot to its RSS-minimizing position until no move
+    helps. ``engine`` holds the one response being searched.
+    """
 
     def candidates(others):
         """RSS of others + g, inf where g is not a delta-feasible addition."""
@@ -308,14 +367,12 @@ def _finalists(engine_for, grid, delta, singles_ok, k, prev_best) -> list:
             ok_g &= np.abs(grid - grid[s]) > delta
         return np.where(ok_g, engine.extend(others), np.inf)
 
-    # k >= 3: insert the RSS-minimizing grid point into the previous optimum
     vals = candidates(prev_best)
     g = int(np.argmin(vals))
     if not np.isfinite(vals[g]):
         raise InfeasibleError(f"no delta-feasible insertion for k={k}")
     cur, cur_rss = sorted(list(prev_best) + [g]), float(vals[g])
 
-    # coordinate descent: move each knot to its RSS-minimizing position
     for _ in range(_MAX_CYCLES):
         improved = False
         for j in range(k):
@@ -329,6 +386,73 @@ def _finalists(engine_for, grid, delta, singles_ok, k, prev_best) -> list:
         if not improved:
             break
     return [tuple(cur)]
+
+
+class _Search:
+    """One search over responses that share x, the candidate grid and the config.
+
+    ``Y`` holds one response per row, sorted by x. The design half of
+    each engine is built once per fitted space. The k = 1 and k = 2
+    scans are exhaustive and need no earlier placement, so each runs
+    once, on its first request, for every response not yet released;
+    beyond, each response follows its own exchange search. Refits are
+    per response.
+    """
+
+    def __init__(self, xs, Y, cfg: SearchConfig, grid, domain, left_bar):
+        self.xs, self.Y, self.cfg, self.grid, self.domain = xs, Y, cfg, grid, domain
+        self.singles_ok = _feasible_mask(grid, domain, cfg.delta, left_bar)
+        self.pending = set(range(len(Y)))
+        self._engines = {}
+        self._scans = {}
+
+    def engine(self, k: int) -> _Responses:
+        """The engine, over all responses, for the space a k-knot model is fitted in; built once."""
+        spec = _fitted_basis(self.cfg.basis, k)
+        if spec not in self._engines:
+            design = _Design(self.xs, self.grid, self.domain, spec)
+            self._engines[spec] = _Responses.of(design, self.Y)
+        return self._engines[spec]
+
+    def release(self, r: int) -> None:
+        """Response r needs no further knot counts: later scans leave it out."""
+        self.pending.discard(r)
+
+    def finalists(self, r: int, k: int, prev_best) -> list:
+        """Near-minimal grid-index placements of exactly k knots for response r; exact for k <= 2.
+
+        For k <= 2 these are every placement whose engine RSS lies within
+        a relative 1e-8 of the minimum; beyond, the single placement found
+        by the exchange heuristic seeded with ``prev_best``, the placement
+        chosen for k - 1.
+        """
+        ok = np.flatnonzero(self.singles_ok)
+        if k == 0:
+            return [()]
+        if ok.size < k:
+            raise InfeasibleError(f"cannot place {k} knots on the feasible grid")
+        if k > 2:
+            engine = self.engine(k).rows(r)
+            return _exchange(engine, self.grid, self.cfg.delta, self.singles_ok, k, prev_best)
+        if k not in self._scans:
+            rows = sorted(self.pending)
+            engine = self.engine(k).rows(rows)
+            if k == 1:
+                found = _scan_singles(engine, ok)
+            else:
+                found = _scan_pairs(engine, self.grid, self.cfg.delta, ok)
+            self._scans[k] = dict(zip(rows, found))
+        return self._scans[k].pop(r)
+
+    def refit(self, r: int, idx):
+        """Canonical refit of a grid-index tuple: the path every reported model takes.
+
+        Returns ``(basis, knots, fit)``; the criterion value is left to the
+        caller, since one refit serves every lambda.
+        """
+        kc = KnotConfig(tuple(self.grid[list(idx)]), self.domain)
+        basis = _fitted_basis(self.cfg.basis, kc.k)
+        return basis, kc, lsq.solve(design_matrix(self.xs, basis, kc), self.Y[r])
 
 
 # ---------------------------------------------------------------------------
@@ -364,25 +488,22 @@ class _PathStep:
         )
 
 
-def _knot_path(xs, y, cfg: SearchConfig, grid, domain, left_bar, tie_lam: float):
-    """Yield one :class:`_PathStep` per knot count k = 0, 1, 2, ...
+def _knot_path(search: _Search, r: int, tie_lam: float):
+    """Yield one :class:`_PathStep` per knot count k = 0, 1, 2, ... for response r.
 
     Each step holds the best delta-feasible placement of exactly k knots
     (k >= 3 seeded by the step before) and its canonical refit. The path
-    ends after ``cfg.k_max`` or at the first infeasible k. It does not
+    ends after ``k_max`` or at the first infeasible k. It does not
     depend on lambda, except that ``tie_lam`` picks among finalists that
     tie after rounding (see :func:`_pick`).
     """
-    engine_for = _engines(xs, y, cfg, grid, domain)
-    singles_ok = _feasible_mask(grid, domain, cfg.delta, left_bar)
-    refit = _refitter(xs, y, cfg, grid, domain)
     prev = ()
-    for k in range(cfg.k_max + 1):
+    for k in range(search.cfg.k_max + 1):
         try:
-            finalists = tuple(_finalists(engine_for, grid, cfg.delta, singles_ok, k, prev))
+            finalists = tuple(search.finalists(r, k, prev))
         except InfeasibleError:
             return  # larger k cannot be feasible either
-        fits = [refit(idx) for idx in finalists]
+        fits = [search.refit(r, idx) for idx in finalists]
         rss = tuple(fit.rss for _, _, fit in fits)
         chosen = _pick(k, finalists, rss, tie_lam)
         prev = finalists[chosen]
@@ -391,51 +512,74 @@ def _knot_path(xs, y, cfg: SearchConfig, grid, domain, left_bar, tie_lam: float)
         yield step
 
 
-def _follow(path, lams, patience: int, own_search) -> list:
-    """Best model for each lambda in ``lams``, all read off one knot path.
+class _StopRule:
+    """Best model for each lambda in ``lams``, read off one knot path a step at a time.
 
     The stop rule, per lambda: keep the model with the smallest
     criterion, preferring fewer knots on ties, and stop once it has not
-    improved for ``patience`` consecutive knot counts. The path is
-    advanced only while some lambda has not stopped. A lambda whose own
+    improved for ``patience`` consecutive knot counts. A lambda whose own
     tie-break picks another finalist than the path's leaves the path,
     since the path's placements from there on are not its placements;
     its model is then ``own_search(lam)``.
     """
-    best = [None] * len(lams)
-    stale = [0] * len(lams)
-    live = list(range(len(lams)))
-    for step in path:
-        for i in list(live):
-            if _pick(step.k, step.finalists, step.rss, lams[i]) != step.chosen:
-                best[i] = own_search(lams[i])
-                live.remove(i)
+
+    def __init__(self, lams, patience: int, own_search):
+        self.lams, self.patience, self.own_search = lams, patience, own_search
+        self.best = [None] * len(lams)
+        self.stale = [0] * len(lams)
+        self.live = list(range(len(lams)))
+
+    def offer(self, step: _PathStep) -> bool:
+        """Score one path step for every live lambda; whether any lambda is still live."""
+        for i in list(self.live):
+            if _pick(step.k, step.finalists, step.rss, self.lams[i]) != step.chosen:
+                self.best[i] = self.own_search(self.lams[i])
+                self.live.remove(i)
                 continue
-            model = step.model(lams[i])
-            if best[i] is None or model.pss < best[i].pss:
-                best[i], stale[i] = model, 0
+            model = step.model(self.lams[i])
+            if self.best[i] is None or model.pss < self.best[i].pss:
+                self.best[i], self.stale[i] = model, 0
             else:
-                stale[i] += 1
-                if stale[i] >= patience:
-                    live.remove(i)
-        if not live:
+                self.stale[i] += 1
+                if self.stale[i] >= self.patience:
+                    self.live.remove(i)
+        return bool(self.live)
+
+
+def _follow(path, lams, patience: int, own_search) -> list:
+    """Best model for each lambda in ``lams`` (see :class:`_StopRule`), all read off one path.
+
+    The path is advanced only while some lambda has not stopped.
+    """
+    rule = _StopRule(lams, patience, own_search)
+    for step in path:
+        if not rule.offer(step):
             break
-    return best
+    return rule.best
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def _prepare(xs, y, cfg: SearchConfig):
+def _prepare_rows(xs, Y, cfg: SearchConfig, out: list):
+    """Sort the data by x, check it and build the candidate grid.
+
+    ``Y`` holds one response per row. A row with non-finite values gets
+    a DataError in ``out`` and is dropped; ``rows`` indexes the rows
+    kept. A fault every row shares (x itself, no finite row) raises.
+    """
     xs = np.asarray(xs, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if xs.size != y.size:
+    if xs.size != Y.shape[1]:
         raise DataError("xs and y must have the same length")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(y))):
+    finite = np.isfinite(Y).all(axis=1)
+    if not (np.all(np.isfinite(xs)) and finite.any()):
         raise DataError("non-finite values in xs or y")
+    for r in np.flatnonzero(~finite):
+        out[r] = DataError("non-finite values in xs or y")
+    rows = np.flatnonzero(finite)
     order = np.argsort(xs, kind="stable")
-    xs, y = xs[order], y[order]
+    xs, Y = xs[order], Y[rows][:, order]
     if xs[0] == xs[-1]:
         raise DataError("constant x: nothing to fit")
     domain = Domain(float(xs[0]), float(xs[-1]))
@@ -451,7 +595,14 @@ def _prepare(xs, y, cfg: SearchConfig):
         grid = np.unique(xs)
     grid = grid[(grid > domain.a) & (grid < domain.b)]
     left_bar = domain.a + cfg.exclude_left_frac * domain.width
-    return xs, y, domain, grid, left_bar
+    return xs, Y, rows, domain, grid, left_bar
+
+
+def _prepare(xs, y, cfg: SearchConfig):
+    """:func:`_prepare_rows` for a single response, which raises on every fault."""
+    y = np.asarray(y, dtype=float).ravel()
+    xs, Y, _, domain, grid, left_bar = _prepare_rows(xs, y[None], cfg, [None])
+    return xs, Y[0], domain, grid, left_bar
 
 
 def _resolve_lambda(xs, y, cfg: SearchConfig) -> float:
@@ -488,7 +639,7 @@ def best_for_k(xs, y, k: int, cfg: SearchConfig, lam: float | None = None) -> Sp
     xs, y, domain, grid, left_bar = _prepare(xs, y, cfg)
     if lam is None:
         lam = _resolve_lambda(xs, y, cfg)
-    for step in _knot_path(xs, y, cfg, grid, domain, left_bar, lam):
+    for step in _knot_path(_Search(xs, y[None], cfg, grid, domain, left_bar), 0, lam):
         if step.k == k:
             return step.model(lam)
     raise InfeasibleError(f"no delta-feasible placement of {k} knots")
@@ -500,12 +651,60 @@ def select(xs, y, cfg: SearchConfig) -> SplineModel:
     Knot counts are visited in increasing order and the loop stops once
     the criterion has not improved for ``cfg.patience`` consecutive
     counts (or the count cap / grid feasibility is hit). Ties prefer
-    fewer knots, then the lexicographically smallest knot vector.
+    fewer knots, then the lexicographically smallest knot vector. This
+    is :func:`select_many` with one response.
     """
-    xs, y, domain, grid, left_bar = _prepare(xs, y, cfg)
-    lam = _resolve_lambda(xs, y, cfg)
-    path = _knot_path(xs, y, cfg, grid, domain, left_bar, lam)
-    return _follow(path, [lam], cfg.patience, None)[0]
+    model = select_many(xs, np.asarray(y, dtype=float).ravel()[:, None], cfg)[0]
+    if isinstance(model, Exception):
+        raise model
+    return model
+
+
+def select_many(xs, ys, cfg: SearchConfig) -> list:
+    """:func:`select` for every column of ``ys`` (n x R), which share ``xs`` and ``cfg``.
+
+    Entry r equals ``select(xs, ys[:, r], cfg)`` bit for bit, or is the
+    ``DataError`` or ``LinAlgError`` that call raises; the other columns
+    still complete. Any other exception propagates. The engines' design
+    half and the exhaustive k = 1 and k = 2 scans are computed once for
+    all columns; from k = 3 on each column follows its own path, with
+    its own lambda, stop and refits.
+    """
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 2:
+        raise ValueError("ys must be an n x R array, one response per column")
+    out = [None] * ys.shape[1]
+    try:
+        xs, Y, rows, domain, grid, left_bar = _prepare_rows(xs, ys.T, cfg, out)
+    except DataError as exc:  # a fault of x: every column fails alike
+        return [exc if m is None else m for m in out]
+    search = _Search(xs, Y, cfg, grid, domain, left_bar)
+    paths, rules = {}, {}
+    for r in range(len(rows)):
+        try:
+            lam = _resolve_lambda(xs, Y[r], cfg)
+        except (DataError, np.linalg.LinAlgError) as exc:
+            out[rows[r]] = exc
+            search.release(r)
+            continue
+        paths[r] = _knot_path(search, r, lam)
+        rules[r] = _StopRule([lam], cfg.patience, None)
+    # every column advances one knot count per round, so a shared scan
+    # runs once, for exactly the columns that are still searching
+    while paths:
+        for r in list(paths):
+            try:
+                step = next(paths[r], None)
+                if step is not None and rules[r].offer(step):
+                    continue
+            except (DataError, np.linalg.LinAlgError) as exc:
+                out[rows[r]] = exc
+                del rules[r]
+            del paths[r]
+            search.release(r)
+    for r, rule in rules.items():
+        out[rows[r]] = rule.best[0]
+    return out
 
 
 def select_lambdas(xs, y, cfg: SearchConfig, lams) -> list[SplineModel]:
@@ -516,13 +715,13 @@ def select_lambdas(xs, y, cfg: SearchConfig, lams) -> list[SplineModel]:
     tie-break leaves the shared path gets that search of its own.
     """
     lams = [float(lam) for lam in lams]
-    if not lams or min(lams) <= 0:
-        raise ValueError("lams must be nonempty with positive entries")
+    if not lams or not all(0 < lam < np.inf for lam in lams):
+        raise ValueError("lams must be nonempty with positive finite entries")
     xs, y, domain, grid, left_bar = _prepare(xs, y, cfg)
-    path = _knot_path(xs, y, cfg, grid, domain, left_bar, lams[0])
+    search = _Search(xs, y[None], cfg, grid, domain, left_bar)
 
     def own_search(lam: float) -> SplineModel:
         fixed = Penalty(policy=LambdaPolicy.FIXED, lam=lam)
         return select(xs, y, replace(cfg, penalty=fixed))
 
-    return _follow(path, lams, cfg.patience, own_search)
+    return _follow(_knot_path(search, 0, lams[0]), lams, cfg.patience, own_search)

@@ -4,6 +4,13 @@ Generates data from cubic B-spline ground truths on [0, 100] at a given
 signal-to-noise ratio, runs the selection on every replication, and
 aggregates the proportion of correct knot counts plus per-knot location
 statistics (conditional on the count being right).
+
+Every replication of a scenario shares x, the candidate grid and the
+search config; only the noise differs. So replications are drawn and
+searched in blocks (:func:`knotselect.search.select_many`): each block
+builds the search engines and runs the exhaustive one- and two-knot
+scans once for all of its replications, and each replication gets
+exactly the model a separate ``select`` would give it.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 from .basis import BasisFamily, BasisSpec, Domain, KnotConfig, design_matrix
 from .criterion import Penalty
 from .lsq import DataError
-from .search import SearchConfig, select
+from .search import SearchConfig, select_many
 
 _DOMAIN = Domain(0.0, 100.0)
 
@@ -67,8 +74,10 @@ class SimScenario:
     name: str = ""
 
     def __post_init__(self):
-        if self.snr <= 0:
-            raise ConfigError("snr must be positive")
+        if not self.snr > 0:
+            raise ConfigError(f"snr must be a positive number, got {self.snr}")
+        if not 0 < self.grid_step < np.inf:
+            raise ConfigError(f"grid_step must be a positive finite number, got {self.grid_step}")
         if self.n < 10:
             raise ConfigError("n must be >= 10")
         if self.replications < 1:
@@ -192,24 +201,31 @@ def run(scenario: SimScenario) -> SimReport:
     """Execute every replication and aggregate the scenario statistics.
 
     The design and the truth signal are built once; each replication
-    draws only its noise, exactly as :func:`generate` would. A
-    replication whose data cannot be fitted (``DataError`` or
-    ``LinAlgError``) is counted as a failure, not fatal; any other
-    exception propagates.
+    draws only its noise, exactly as :func:`generate` would.
+    Replications are searched together in blocks of at most G, the
+    candidate-grid size, so a block's residuals take no more memory than
+    the search's own n x G engine; a replication's time is its block's
+    time over the block size. A replication whose data cannot be fitted
+    (``DataError`` or ``LinAlgError``) is counted as a failure, not
+    fatal; any other exception propagates.
     """
     cfg = _search_config(scenario)
     true_k = len(scenario.truth_knots)
     xs, f, sigma = _design(scenario)
 
-    def one(rep: int):
+    results = []
+    block = max(len(cfg.candidate_grid), 1)
+    for start in range(0, scenario.replications, block):
+        reps = range(start, min(start + block, scenario.replications))
         t0 = time.perf_counter()
-        try:
-            model = select(xs, _noisy(scenario, rep, f, sigma), cfg)
-            return model.k, list(model.knots.knots), time.perf_counter() - t0
-        except (DataError, np.linalg.LinAlgError):
-            return None, None, time.perf_counter() - t0
-
-    results = [one(r) for r in range(scenario.replications)]
+        ys = np.column_stack([_noisy(scenario, rep, f, sigma) for rep in reps])
+        models = select_many(xs, ys, cfg)
+        seconds = (time.perf_counter() - t0) / len(reps)
+        for model in models:
+            if isinstance(model, (DataError, np.linalg.LinAlgError)):
+                results.append((None, None, seconds))
+            else:
+                results.append((model.k, list(model.knots.knots), seconds))
 
     khats = [r[0] for r in results]
     failures = sum(1 for k in khats if k is None)

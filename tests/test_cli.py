@@ -79,6 +79,21 @@ class TestFit:
         assert code == 3 and out == ""
         assert err.startswith("error: --grid-step") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--delta", "nan"), ("--delta", "inf"), ("--lambda", "nan"), ("--lambda", "inf")],
+    )
+    def test_nonfinite_setting_exit_3(self, capsys, xy_csv, flag, value):
+        code, out, err = run_cli(capsys, "fit", xy_csv, flag, value)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and value in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["table", "svg"])
+    def test_xy_input_rejects_series_formats_exit_3(self, capsys, xy_csv, fmt):
+        code, out, err = run_cli(capsys, "fit", xy_csv, "--format", fmt)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: --format {fmt} needs a time series") and err.count("\n") == 1
+
     def test_more_cv_folds_than_rows_exit_3(self, capsys, tmp_path):
         path = tmp_path / "eight.csv"
         path.write_text("x,y\n" + "".join(f"{i},{i * i % 5}\n" for i in range(8)))
@@ -183,6 +198,18 @@ class TestSimulate:
         cfgfile.write_text('{"truth": "one-knot"}')
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfgfile))
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("grid_step", "0"), ("grid_step", "-2.5"), ("grid_step", "NaN"), ("snr", "NaN")],
+    )
+    def test_bad_scenario_value_exit_3(self, capsys, tmp_path, key, value):
+        entries = {"truth": '"one-knot"', "snr": "3", "n": "100", "replications": "2", key: value}
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in entries.items()) + "}")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfgfile))
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: $: {key} must be a positive") and err.count("\n") == 1
 
     def test_needs_scenario_or_config(self, capsys):
         code, _, err = run_cli(capsys, "simulate")

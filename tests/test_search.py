@@ -301,7 +301,8 @@ class TestOracleProperty:
             assert model.knots.knots == tuple(grid[list(best[1])])
 
         # the engine's RSS for random feasible subsets agrees with a refit
-        engine_for = search._engines(xs_s, y_s, cfg, grid, domain)
+        one = search._Search(xs_s, y_s[None], cfg, grid, domain, left_bar)
+        engine_for = lambda k: one.engine(k).rows(0)
         for _ in range(6):
             k = int(rng.integers(1, 5))
             if ok.size < k:
@@ -332,7 +333,7 @@ class TestOracleProperty:
         _, val = brute_force(xs, y, cfg, 1.0)
         assert select(xs, y, cfg).pss <= val
         domain = Domain(xs[0], xs[-1])
-        engine = search._engines(xs, y, cfg, grid, domain)(4)
+        engine = search._Search(xs, y[None], cfg, grid, domain, domain.a).engine(4).rows(0)
         checked = 0
         for idx in combinations(range(12), 4):
             expected = refit_rss(xs, y, cfg.basis, KnotConfig(tuple(grid[list(idx)]), domain))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from knotselect.lsq import DataError
+from knotselect.search import select
 from knotselect.sim import (
     TRUTHS,
     ConfigError,
@@ -106,19 +107,61 @@ class TestRun:
     def test_data_errors_counted_programming_errors_raised(self, monkeypatch):
         import knotselect.sim as sim_mod
 
-        def bad_data(xs, y, cfg):
-            raise DataError("bad replication")
+        def bad_data(xs, ys, cfg):
+            return [DataError("bad replication")] * ys.shape[1]
 
-        monkeypatch.setattr(sim_mod, "select", bad_data)
+        monkeypatch.setattr(sim_mod, "select_many", bad_data)
         rep = run(small_scenario(replications=3))
         assert rep.failures == 3 and rep.n_total == 3
 
-        def broken(xs, y, cfg):
+        def broken(xs, ys, cfg):
             raise TypeError("bug in the search")
 
-        monkeypatch.setattr(sim_mod, "select", broken)
+        monkeypatch.setattr(sim_mod, "select_many", broken)
         with pytest.raises(TypeError, match="bug in the search"):
             run(small_scenario(replications=3))
+
+    def test_one_failed_replication_counted_once(self, monkeypatch):
+        import knotselect.sim as sim_mod
+
+        sc = small_scenario(replications=4)
+        assert run(sc).failures == 0
+        noisy = sim_mod._noisy
+
+        def nan_in_rep_2(scenario, rep, f, sigma):
+            y = noisy(scenario, rep, f, sigma)
+            if rep == 2:
+                y[7] = np.nan
+            return y
+
+        monkeypatch.setattr(sim_mod, "_noisy", nan_in_rep_2)
+        rep = run(sc)
+        assert rep.failures == 1 and rep.n_total == 4
+        assert sum(rep.khat_counts.values()) == 3
+        # the other replications keep the models they get alone
+        xs, f, sigma = sim_mod._design(sc)
+        cfg = sim_mod._search_config(sc)
+        kept = [select(xs, noisy(sc, r, f, sigma), cfg) for r in (0, 1, 3)]
+        assert rep.knot_samples == [list(m.knots.knots) for m in kept if m.k == 1]
+
+    def test_blocks_of_at_most_the_grid_size(self, monkeypatch):
+        import knotselect.sim as sim_mod
+
+        widths = []
+        inner = sim_mod.select_many
+
+        def counted(xs, ys, cfg):
+            widths.append(ys.shape[1])
+            return inner(xs, ys, cfg)
+
+        monkeypatch.setattr(sim_mod, "select_many", counted)
+        sc = small_scenario(replications=5, grid_step=30.0, delta=10.0)
+        rep = run(sc)
+        assert widths == [3, 2]  # grid 30, 60, 90
+        xs, f, sigma = sim_mod._design(sc)
+        cfg = sim_mod._search_config(sc)
+        ks = [select(xs, sim_mod._noisy(sc, r, f, sigma), cfg).k for r in range(5)]
+        assert rep.khat_counts == {k: ks.count(k) for k in set(ks)}
 
 
 class TestFormatTable:
